@@ -16,7 +16,11 @@
 //!
 //! The fabric knows nothing about transports: it moves [`Packet`]s
 //! between hosts and reports deliveries; `hermes-transport` implements
-//! DCTCP on top, and `hermes-runtime` wires the two together.
+//! DCTCP on top, and `hermes-runtime` wires the two together. Every
+//! [`Fabric`] handler schedules onto the run's one
+//! `hermes_sim::EventQueue<Event>`, and [`audit`] folds each dispatched
+//! event into the trace digest inline, on the same thread (DESIGN.md
+//! §17 records why there is no sharded mode).
 
 pub mod audit;
 mod fabric;
@@ -27,11 +31,10 @@ mod packet;
 mod pool;
 mod port;
 mod rate;
-mod shard;
 mod topology;
 mod types;
 
-pub use audit::{ConservationReport, DigestSink, FnvDigest};
+pub use audit::{ConservationReport, FnvDigest};
 pub use fabric::{Event, Fabric, FabricStats};
 pub use failure::{flow_unit, pair_unit, Blackhole, FlowBlackhole, SpineFailure};
 pub use faultplan::{FaultAction, FaultEvent, FaultPlan, PlanError};
@@ -40,6 +43,5 @@ pub use packet::{AckInfo, LbMeta, Packet, PacketKind, ACK_SIZE, HDR, MSS, PROBE_
 pub use pool::{PacketPool, PoolStats};
 pub use port::{Enqueue, Port, PortStats};
 pub use rate::Dre;
-pub use shard::{DrainCfg, DrainResult, ShardMap};
 pub use topology::{LinkCfg, QueueCfg, Topology};
 pub use types::{FlowId, HostId, LeafId, NodeId, PathId, Priority, SpineId};
