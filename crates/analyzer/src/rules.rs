@@ -632,9 +632,8 @@ impl<'a> Scanner<'a> {
     }
 
     /// `emit_with` argument lists must stay side-effect-free: no
-    /// `&mut`, no assignment operators, no `borrow_mut`/`lock`. The
-    /// zero-overhead-when-off guarantee assumes skipping the closure
-    /// changes nothing.
+    /// `&mut`, no assignment operators, no `borrow_mut`/`lock`. A run
+    /// without a sink skips the closure, and that must change nothing.
     fn telemetry_hygiene(&mut self) {
         if !telemetry_scope(self.class) {
             return;

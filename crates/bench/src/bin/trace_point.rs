@@ -1,7 +1,8 @@
-//! Emit one named trace point as JSONL (events) + CSV (metrics).
+//! Emit one named trace point as JSONL (events) + CSV (metrics):
 //!
-//! Usually invoked through `cargo run -p xtask -- trace <point> --out
-//! <dir>`, which rebuilds this bin with the `telemetry` feature on.
+//! ```sh
+//! cargo run --release -p hermes-bench --bin trace_point -- --point fig17_mini --out DIR
+//! ```
 
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -33,13 +34,6 @@ fn main() {
         eprintln!("unknown trace point `{point}`");
         usage()
     };
-    if !hermes_telemetry::compiled() {
-        eprintln!(
-            "hermes-telemetry is compiled out; rebuild with \
-             `--features hermes-bench/telemetry` (xtask trace does this)"
-        );
-        std::process::exit(2);
-    }
     let res = hermes_bench::run_trace_point(p);
     std::fs::create_dir_all(&out).expect("create output dir");
     let jsonl = out.join(format!("{point}.trace.jsonl"));

@@ -914,9 +914,6 @@ mod tests {
 
     #[test]
     fn telemetry_path_transitions_fire_on_failure_and_recovery() {
-        if !hermes_telemetry::compiled() {
-            return;
-        }
         use hermes_telemetry::{PathClass, Record};
         let (_sh, mut h, params) = setup();
         hermes_telemetry::install(hermes_telemetry::SinkConfig::default());
@@ -980,9 +977,6 @@ mod tests {
 
     #[test]
     fn telemetry_reroute_verdicts_cover_algorithm2_branches() {
-        if !hermes_telemetry::compiled() {
-            return;
-        }
         use hermes_telemetry::{Record, RerouteVerdict};
         let (sh, mut h, params) = setup();
         hermes_telemetry::install(hermes_telemetry::SinkConfig::default());

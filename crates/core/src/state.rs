@@ -268,8 +268,6 @@ impl PathState {
         if newly {
             self.phase = FailPhase::Failed;
             self.last_fail_evidence = now;
-            #[cfg(feature = "dbgfail")]
-            eprintln!("FAIL-TIMEOUT");
         } else {
             self.fail_evidence(now);
         }
@@ -320,8 +318,6 @@ impl PathState {
         if self.bad_windows >= 2 {
             self.phase = FailPhase::Failed;
             self.last_fail_evidence = now;
-            #[cfg(feature = "dbgfail")]
-            eprintln!("FAIL-RETX frac={}", self.retx_fraction);
         }
         self.failed()
     }

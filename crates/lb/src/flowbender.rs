@@ -270,9 +270,6 @@ mod tests {
 
     #[test]
     fn telemetry_bounce_records_fire_on_rehash_only() {
-        if !hermes_telemetry::compiled() {
-            return;
-        }
         use hermes_telemetry::{Record, RerouteVerdict};
         hermes_telemetry::install(hermes_telemetry::SinkConfig::default());
         let mut lb = FlowBender::new(FlowBenderCfg::default());

@@ -1240,9 +1240,6 @@ mod tests {
 
     #[test]
     fn telemetry_drop_records_carry_reason_and_identity() {
-        if !hermes_telemetry::compiled() {
-            return;
-        }
         use hermes_telemetry::{DropReason, Record};
         hermes_telemetry::install(hermes_telemetry::SinkConfig::default());
 
@@ -1291,9 +1288,6 @@ mod tests {
 
     #[test]
     fn telemetry_ecn_marks_surface_with_queue_depth() {
-        if !hermes_telemetry::compiled() {
-            return;
-        }
         use hermes_telemetry::Record;
         hermes_telemetry::install(hermes_telemetry::SinkConfig::default());
         // 2:1 convergence onto one 30KB-threshold uplink (same setup as

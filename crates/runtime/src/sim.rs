@@ -591,7 +591,7 @@ impl Simulation {
 
     /// Telemetry metrics cadence: piggybacks on event dispatch (no
     /// scheduled events of its own, so the event stream — and with it
-    /// the determinism digest — is identical with telemetry off).
+    /// the determinism digest — is identical with no sink installed).
     fn telemetry_cadence(&mut self) {
         let now = self.q.now();
         if !hermes_telemetry::on_cadence(now) {

@@ -1,4 +1,4 @@
-//! # hermes-telemetry — zero-overhead-when-off tracing and metrics
+//! # hermes-telemetry — run-time-installed tracing and metrics
 //!
 //! A structured observation layer for the Hermes reproduction: typed
 //! trace records ([`Record`]) covering path-state sensing, placement
@@ -10,16 +10,15 @@
 //!
 //! Two properties are load-bearing (DESIGN.md §12):
 //!
-//! * **Zero overhead when off.** Without the `on` feature every entry
-//!   point is an inline no-op and [`enabled`] is a compile-time
-//!   `false`, so guarded instrumentation sites vanish from the build.
-//!   Instrumented crates expose this as their own `telemetry` feature.
-//! * **Digest neutrality when on.** The sink observes; it never
+//! * **Inert until installed.** The layer is always compiled in; no
+//!   sink exists until [`install`] puts one on the current thread.
+//!   Until then [`enabled`] is `false`, every guarded instrumentation
+//!   site costs one thread-local read, and no record is built.
+//! * **Digest neutrality when installed.** The sink observes; it never
 //!   schedules events, consumes randomness, or feeds back into
-//!   simulation state. A telemetry-on run produces the same
-//!   `hermes-net::audit` event-trace digest as a telemetry-off run
-//!   (enforced by `tests/telemetry.rs` against the conformance
-//!   goldens).
+//!   simulation state. A run with a sink installed produces the same
+//!   `hermes-net::audit` event-trace digest as one without (enforced
+//!   by `tests/telemetry.rs` against the conformance goldens).
 
 mod export;
 mod metrics;
@@ -30,6 +29,6 @@ pub use export::{event_to_json, to_csv, to_jsonl};
 pub use metrics::{Histogram, Metrics, MetricsRow, FCT_EDGES_US};
 pub use record::{DropReason, PathClass, Record, RerouteVerdict, TraceEvent};
 pub use sink::{
-    compiled, counter, counter_add, drain, dropped, emit_with, enabled, gauge_set, hist,
-    hist_observe, install, on_cadence, sample_metrics, take_metric_rows, uninstall, SinkConfig,
+    counter, counter_add, drain, dropped, emit_with, enabled, gauge_set, hist, hist_observe,
+    install, on_cadence, sample_metrics, take_metric_rows, uninstall, SinkConfig,
 };

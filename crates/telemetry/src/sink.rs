@@ -12,17 +12,21 @@
 //! this crate — the xtask determinism lint covers it like every other
 //! sim-facing crate.
 //!
-//! # Zero overhead when off
+//! # Installed at run time
 //!
-//! Without the `on` feature every public function here is an empty
-//! `#[inline]` shim: `enabled()` is a compile-time `false`, so
-//! instrumentation guarded by `if hermes_telemetry::enabled()` folds
-//! away entirely, and `emit_with` never constructs its record closure.
-//! The sink is thread-local so the testkit's multi-threaded scenario
-//! grid keeps per-cell traces independent.
+//! The layer is always compiled; it does nothing until [`install`] puts
+//! a sink on the current thread. Instrumentation guarded by
+//! `if hermes_telemetry::enabled()` costs one thread-local read when no
+//! sink is installed, and `emit_with` never constructs its record
+//! closure. The sink is thread-local so the testkit's multi-threaded
+//! scenario grid keeps per-cell traces independent.
+
+use std::cell::RefCell;
+use std::collections::VecDeque;
 
 use hermes_sim::Time;
 
+use crate::metrics::{Histogram, Metrics, MetricsRow};
 use crate::record::{Record, TraceEvent};
 
 /// Sink configuration.
@@ -44,157 +48,67 @@ impl Default for SinkConfig {
     }
 }
 
-/// Whether the telemetry layer was compiled in (`on` feature).
-#[inline(always)]
-pub fn compiled() -> bool {
-    cfg!(feature = "on")
+struct SinkState {
+    cfg: SinkConfig,
+    ring: VecDeque<TraceEvent>,
+    next_seq: u64,
+    dropped: u64,
+    next_cadence: Time,
+    metrics: Metrics,
 }
 
-#[cfg(feature = "on")]
-mod imp {
-    use std::cell::RefCell;
-    use std::collections::VecDeque;
-
-    use hermes_sim::Time;
-
-    use super::SinkConfig;
-    use crate::metrics::{Metrics, MetricsRow};
-    use crate::record::{Record, TraceEvent};
-
-    pub struct SinkState {
-        cfg: SinkConfig,
-        ring: VecDeque<TraceEvent>,
-        next_seq: u64,
-        dropped: u64,
-        next_cadence: Time,
-        metrics: Metrics,
-    }
-
-    thread_local! {
-        static SINK: RefCell<Option<SinkState>> = const { RefCell::new(None) };
-    }
-
-    pub fn install(cfg: SinkConfig) {
-        SINK.with(|s| {
-            *s.borrow_mut() = Some(SinkState {
-                cfg,
-                ring: VecDeque::new(),
-                next_seq: 0,
-                dropped: 0,
-                next_cadence: Time::ZERO,
-                metrics: Metrics::default(),
-            });
-        });
-    }
-
-    pub fn uninstall() {
-        SINK.with(|s| *s.borrow_mut() = None);
-    }
-
-    pub fn installed() -> bool {
-        SINK.with(|s| s.borrow().is_some())
-    }
-
-    pub fn emit(at: Time, record: Record) {
-        SINK.with(|s| {
-            if let Some(st) = s.borrow_mut().as_mut() {
-                if st.ring.len() >= st.cfg.capacity {
-                    st.ring.pop_front();
-                    st.dropped += 1;
-                }
-                let seq = st.next_seq;
-                st.next_seq += 1;
-                st.ring.push_back(TraceEvent { seq, at, record });
-            }
-        });
-    }
-
-    pub fn on_cadence(now: Time) -> bool {
-        SINK.with(|s| {
-            let mut b = s.borrow_mut();
-            let Some(st) = b.as_mut() else { return false };
-            if now < st.next_cadence {
-                return false;
-            }
-            // Advance to the first boundary strictly past `now` without
-            // looping per elapsed period (faults can idle the clock).
-            let period = st.cfg.metrics_cadence.as_ns().max(1);
-            let next = (now.as_ns() / period + 1) * period;
-            st.next_cadence = Time::from_ns(next);
-            true
-        })
-    }
-
-    pub fn with_metrics<R>(f: impl FnOnce(&mut Metrics) -> R) -> Option<R> {
-        SINK.with(|s| s.borrow_mut().as_mut().map(|st| f(&mut st.metrics)))
-    }
-
-    pub fn drain() -> Vec<TraceEvent> {
-        SINK.with(|s| {
-            s.borrow_mut()
-                .as_mut()
-                .map(|st| st.ring.drain(..).collect())
-                .unwrap_or_default()
-        })
-    }
-
-    pub fn take_metric_rows() -> Vec<MetricsRow> {
-        with_metrics(Metrics::take_rows).unwrap_or_default()
-    }
-
-    pub fn dropped() -> u64 {
-        SINK.with(|s| s.borrow().as_ref().map_or(0, |st| st.dropped))
-    }
+thread_local! {
+    static SINK: RefCell<Option<SinkState>> = const { RefCell::new(None) };
 }
-
-// ---------------------------------------------------------------------
-// Public API. With the feature off these are empty inline shims.
-// ---------------------------------------------------------------------
 
 /// Install a fresh sink on this thread, replacing any previous one.
-/// No-op when the layer is compiled out.
-#[inline]
 pub fn install(cfg: SinkConfig) {
-    #[cfg(feature = "on")]
-    imp::install(cfg);
-    #[cfg(not(feature = "on"))]
-    let _ = cfg;
+    SINK.with(|s| {
+        *s.borrow_mut() = Some(SinkState {
+            cfg,
+            ring: VecDeque::new(),
+            next_seq: 0,
+            dropped: 0,
+            next_cadence: Time::ZERO,
+            metrics: Metrics::default(),
+        });
+    });
 }
 
 /// Remove this thread's sink, discarding buffered events.
-#[inline]
 pub fn uninstall() {
-    #[cfg(feature = "on")]
-    imp::uninstall();
+    SINK.with(|s| *s.borrow_mut() = None);
 }
 
-/// Whether a sink is installed on this thread *and* the layer is
-/// compiled in. The `if enabled()` guard at every instrumentation site
-/// is a constant `false` in off builds, so the whole site folds away.
+/// Whether a sink is installed on this thread. Every instrumentation
+/// site guards on this, so an uninstalled run pays one thread-local
+/// read per site and builds no records.
 #[inline(always)]
 pub fn enabled() -> bool {
-    #[cfg(feature = "on")]
-    {
-        imp::installed()
-    }
-    #[cfg(not(feature = "on"))]
-    {
-        false
-    }
+    SINK.with(|s| s.borrow().is_some())
 }
 
 /// Emit one record stamped `at`; the closure is only evaluated when a
 /// sink is installed, so record construction costs nothing otherwise.
 #[inline]
 pub fn emit_with<F: FnOnce() -> Record>(at: Time, f: F) {
-    #[cfg(feature = "on")]
-    {
-        if imp::installed() {
-            imp::emit(at, f());
-        }
+    if enabled() {
+        emit(at, f());
     }
-    #[cfg(not(feature = "on"))]
-    let _ = (at, f);
+}
+
+fn emit(at: Time, record: Record) {
+    SINK.with(|s| {
+        if let Some(st) = s.borrow_mut().as_mut() {
+            if st.ring.len() >= st.cfg.capacity {
+                st.ring.pop_front();
+                st.dropped += 1;
+            }
+            let seq = st.next_seq;
+            st.next_seq += 1;
+            st.ring.push_back(TraceEvent { seq, at, record });
+        }
+    });
 }
 
 /// Lazy cadence check: true when `now` reached the next metrics
@@ -202,130 +116,76 @@ pub fn emit_with<F: FnOnce() -> Record>(at: Time, f: F) {
 /// schedules its own events — the runtime asks this question on its
 /// existing dispatch path instead, keeping the event stream (and thus
 /// the trace digest) identical to an uninstrumented run.
-#[inline]
 pub fn on_cadence(now: Time) -> bool {
-    #[cfg(feature = "on")]
-    {
-        imp::on_cadence(now)
-    }
-    #[cfg(not(feature = "on"))]
-    {
-        let _ = now;
-        false
-    }
+    SINK.with(|s| {
+        let mut b = s.borrow_mut();
+        let Some(st) = b.as_mut() else { return false };
+        if now < st.next_cadence {
+            return false;
+        }
+        // Advance to the first boundary strictly past `now` without
+        // looping per elapsed period (faults can idle the clock).
+        let period = st.cfg.metrics_cadence.as_ns().max(1);
+        let next = (now.as_ns() / period + 1) * period;
+        st.next_cadence = Time::from_ns(next);
+        true
+    })
+}
+
+fn with_metrics<R>(f: impl FnOnce(&mut Metrics) -> R) -> Option<R> {
+    SINK.with(|s| s.borrow_mut().as_mut().map(|st| f(&mut st.metrics)))
 }
 
 /// Add `v` to a named counter.
-#[inline]
 pub fn counter_add(name: &'static str, v: u64) {
-    #[cfg(feature = "on")]
-    {
-        imp::with_metrics(|m| m.counter_add(name, v));
-    }
-    #[cfg(not(feature = "on"))]
-    let _ = (name, v);
+    with_metrics(|m| m.counter_add(name, v));
 }
 
 /// Set a named gauge.
-#[inline]
 pub fn gauge_set(name: &'static str, v: f64) {
-    #[cfg(feature = "on")]
-    {
-        imp::with_metrics(|m| m.gauge_set(name, v));
-    }
-    #[cfg(not(feature = "on"))]
-    let _ = (name, v);
+    with_metrics(|m| m.gauge_set(name, v));
 }
 
 /// Observe `v` in a named fixed-bucket histogram (created with `edges`
 /// on first use).
-#[inline]
 pub fn hist_observe(name: &'static str, edges: &'static [f64], v: f64) {
-    #[cfg(feature = "on")]
-    {
-        imp::with_metrics(|m| m.hist_observe(name, edges, v));
-    }
-    #[cfg(not(feature = "on"))]
-    let _ = (name, edges, v);
+    with_metrics(|m| m.hist_observe(name, edges, v));
 }
 
 /// Snapshot all metrics into the sampled time series at `now`.
-#[inline]
 pub fn sample_metrics(now: Time) {
-    #[cfg(feature = "on")]
-    {
-        imp::with_metrics(|m| m.sample(now));
-    }
-    #[cfg(not(feature = "on"))]
-    let _ = now;
+    with_metrics(|m| m.sample(now));
 }
 
 /// Take every buffered trace event (oldest first), leaving the sink
-/// installed. Empty when the layer is off or no sink is installed.
-#[inline]
+/// installed. Empty when no sink is installed.
 pub fn drain() -> Vec<TraceEvent> {
-    #[cfg(feature = "on")]
-    {
-        imp::drain()
-    }
-    #[cfg(not(feature = "on"))]
-    {
-        Vec::new()
-    }
+    SINK.with(|s| {
+        s.borrow_mut()
+            .as_mut()
+            .map(|st| st.ring.drain(..).collect())
+            .unwrap_or_default()
+    })
 }
 
 /// Take the cadence-sampled metrics rows accumulated so far.
-#[inline]
-pub fn take_metric_rows() -> Vec<crate::metrics::MetricsRow> {
-    #[cfg(feature = "on")]
-    {
-        imp::take_metric_rows()
-    }
-    #[cfg(not(feature = "on"))]
-    {
-        Vec::new()
-    }
+pub fn take_metric_rows() -> Vec<MetricsRow> {
+    with_metrics(Metrics::take_rows).unwrap_or_default()
 }
 
 /// Events dropped because the ring was full.
-#[inline]
 pub fn dropped() -> u64 {
-    #[cfg(feature = "on")]
-    {
-        imp::dropped()
-    }
-    #[cfg(not(feature = "on"))]
-    {
-        0
-    }
+    SINK.with(|s| s.borrow().as_ref().map_or(0, |st| st.dropped))
 }
 
 /// Read a live counter value (testing/inspection).
-#[inline]
 pub fn counter(name: &'static str) -> u64 {
-    #[cfg(feature = "on")]
-    {
-        imp::with_metrics(|m| m.counter(name)).unwrap_or(0)
-    }
-    #[cfg(not(feature = "on"))]
-    {
-        let _ = name;
-        0
-    }
+    with_metrics(|m| m.counter(name)).unwrap_or(0)
 }
 
 /// Clone a live histogram (testing/inspection).
-#[inline]
-pub fn hist(name: &'static str) -> Option<crate::metrics::Histogram> {
-    #[cfg(feature = "on")]
-    {
-        imp::with_metrics(|m| m.hist(name).cloned()).flatten()
-    }
-    #[cfg(not(feature = "on"))]
-    {
-        let _ = name;
-        None
-    }
+pub fn hist(name: &'static str) -> Option<Histogram> {
+    with_metrics(|m| m.hist(name).cloned()).flatten()
 }
 
 #[cfg(test)]
@@ -344,22 +204,22 @@ mod tests {
     }
 
     #[test]
-    fn off_build_is_inert() {
-        if compiled() {
-            return;
-        }
-        install(SinkConfig::default());
+    fn uninstalled_sink_is_inert() {
+        uninstall();
         assert!(!enabled());
-        emit_with(Time::from_us(1), sample_record);
+        emit_with(Time::from_us(1), || panic!("closure ran without a sink"));
+        counter_add("pkts", 1);
+        hist_observe("fct", &[10.0], 1.0);
+        sample_metrics(Time::from_ms(1));
         assert!(drain().is_empty());
+        assert!(take_metric_rows().is_empty());
         assert!(!on_cadence(Time::from_secs(1)));
+        assert_eq!(counter("pkts"), 0);
+        assert!(hist("fct").is_none());
     }
 
     #[test]
     fn emit_is_seq_ordered_and_closure_lazy() {
-        if !compiled() {
-            return;
-        }
         uninstall();
         // Not installed: the closure must not run.
         emit_with(Time::ZERO, || panic!("closure ran without a sink"));
@@ -376,9 +236,6 @@ mod tests {
 
     #[test]
     fn ring_drops_oldest_and_counts() {
-        if !compiled() {
-            return;
-        }
         install(SinkConfig {
             capacity: 2,
             ..SinkConfig::default()
@@ -395,9 +252,6 @@ mod tests {
 
     #[test]
     fn cadence_fires_once_per_boundary() {
-        if !compiled() {
-            return;
-        }
         install(SinkConfig {
             metrics_cadence: Time::from_ms(1),
             ..SinkConfig::default()
@@ -415,9 +269,6 @@ mod tests {
 
     #[test]
     fn metrics_roundtrip_through_the_sink() {
-        if !compiled() {
-            return;
-        }
         install(SinkConfig::default());
         counter_add("pkts", 2);
         counter_add("pkts", 3);

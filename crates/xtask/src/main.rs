@@ -64,15 +64,14 @@ fn main() -> ExitCode {
             args.iter().any(|a| a == "--quick"),
             args.iter().any(|a| a == "--gate"),
         ),
-        Some("trace") => trace(&args[1..]),
         Some("chaos") => chaos(&args[1..]),
         _ => {
             eprintln!(
                 "usage: cargo run -p xtask -- <analyze [--self-test] [--json <out>] \
                  [--update-baseline] | conformance [--self-test] | bless | perf [--quick] \
-                 [--gate] | trace <point> --out <dir> | chaos [--seeds N] [--seed-base N] \
-                 [--quick] [--shrink] [--self-test] [--no-corpus] [--recovery-frac F] \
-                 [--out <json>] [--emit-shrunk <dir>]>"
+                 [--gate] | chaos [--seeds N] [--seed-base N] [--quick] [--shrink] \
+                 [--self-test] [--no-corpus] [--recovery-frac F] [--out <json>] \
+                 [--emit-shrunk <dir>]>"
             );
             ExitCode::FAILURE
         }
@@ -299,49 +298,6 @@ const PERF_SCHEDULERS: &[(&str, &[&str])] = &[
 /// The point whose wheel-vs-heap wall-clock delta is the PR-gating
 /// perf trajectory headline.
 const PERF_HEADLINE_POINT: &str = "fig12_baseline";
-
-/// `trace <point> --out <dir>`: rebuild `hermes-bench` with the
-/// `telemetry` feature and run its `trace_point` bin, which writes
-/// `<point>.trace.jsonl` (event trace) and `<point>.metrics.csv`
-/// (cadence-sampled metrics) into `<dir>`.
-fn trace(args: &[String]) -> ExitCode {
-    let mut point: Option<&str> = None;
-    let mut out: Option<&str> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--out" => out = it.next().map(String::as_str),
-            p if point.is_none() && !p.starts_with('-') => point = Some(p),
-            other => {
-                eprintln!("xtask trace: unexpected argument `{other}`");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let (Some(point), Some(out)) = (point, out) else {
-        eprintln!("usage: cargo run -p xtask -- trace <point> --out <dir>");
-        return ExitCode::FAILURE;
-    };
-    let root = workspace_root();
-    let status = std::process::Command::new("cargo")
-        .current_dir(&root)
-        .args(["run", "--release", "-q", "-p", "hermes-bench"])
-        .args(["--features", "hermes-bench/telemetry"])
-        .args(["--bin", "trace_point", "--"])
-        .args(["--point", point, "--out", out])
-        .status();
-    match status {
-        Ok(st) if st.success() => ExitCode::SUCCESS,
-        Ok(st) => {
-            eprintln!("xtask trace: trace_point exited with {st}");
-            ExitCode::FAILURE
-        }
-        Err(e) => {
-            eprintln!("xtask trace: spawning cargo: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
 
 /// Wall-clock runs per (point, scheduler); the minimum is reported
 /// (standard practice: the min is the least noise-contaminated sample).

@@ -1,11 +1,6 @@
 //! Tier-1 telemetry suite: the trace layer must tell the paper's
 //! failure-recovery story (fig. 17) deterministically, without
 //! perturbing the simulation it observes.
-//!
-//! Every test is a no-op unless the workspace `telemetry` feature is
-//! on (`cargo test --features telemetry --test telemetry`); the plain
-//! build keeps only the compiled-out shims, so there is nothing to
-//! exercise.
 
 use std::path::PathBuf;
 
@@ -28,9 +23,6 @@ fn scenario_dir() -> PathBuf {
 /// trace must carry that narrative in order.
 #[test]
 fn fig17_trace_tells_the_failure_story() {
-    if !hermes_telemetry::compiled() {
-        return;
-    }
     let out = run_trace_point(trace_point("fig17_mini").expect("registered point"));
     assert_eq!(out.shed, 0, "sink must hold the whole mini trace");
     let evs = &out.events;
@@ -194,9 +186,6 @@ fn fig17_trace_tells_the_failure_story() {
 /// produces the identical trace digest (A/B digest neutrality).
 #[test]
 fn gray_failure_faults_are_traced_and_digest_neutral() {
-    if !hermes_telemetry::compiled() {
-        return;
-    }
     let run = || {
         let topo = Topology::sim_baseline();
         let scheme = Scheme::Hermes(HermesParams::from_topology(&topo));
@@ -260,9 +249,6 @@ fn gray_failure_faults_are_traced_and_digest_neutral() {
 /// writes are a pure function of (config, seed).
 #[test]
 fn fig17_trace_is_byte_identical_across_runs() {
-    if !hermes_telemetry::compiled() {
-        return;
-    }
     let p = trace_point("fig17_mini").expect("registered point");
     let a = run_trace_point(p);
     let b = run_trace_point(p);
@@ -273,14 +259,11 @@ fn fig17_trace_is_byte_identical_across_runs() {
 
 /// Differential off/on check: with the sink installed and recording,
 /// pinned conformance cells must still hit their committed golden
-/// digests — the digests were blessed on a telemetry-off build, so any
+/// digests — the digests were blessed with no sink installed, so any
 /// telemetry-induced perturbation (an extra event, an RNG draw, a
 /// sensing tick) shows up as a mismatch here.
 #[test]
 fn telemetry_on_preserves_conformance_digests() {
-    if !hermes_telemetry::compiled() {
-        return;
-    }
     let dir = scenario_dir();
     let specs = hermes_testkit::load_dir(&dir).expect("tier-1 scenarios load");
     let goldens = load_goldens(&dir).expect("committed digests.toml");
